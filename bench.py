@@ -9,9 +9,11 @@ Prints ONE JSON line:
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
      RAY_GRAFT_CPUS (default 32).
 
---scaling: run the headline pipeline in TWO fresh processes
-(num_cpus=8, then 32) on the same input and report both throughputs +
-scaling efficiency (the sandbox substitute for N-vs-4N cluster sizes —
+--scaling: run the headline pipeline in fresh processes at two CPU
+levels (XTRACT_SCALING_LO, default 8, and XTRACT_SCALING_HI, default
+32) on the same input and report both throughputs, keyed ``_lo`` and
+``_hi`` with the levels themselves in ``lo``/``hi``, plus the scaling
+efficiency (the sandbox substitute for N-vs-4N cluster sizes —
 SURVEY §4.3); result also recorded in BASELINE.md.
 
 The pages input is synthesized once per (sf, expand, repeat) into a
@@ -454,6 +456,32 @@ def hardware_ceiling(lo: int, hi: int) -> float:
     return (run(lo) / run(hi)) / (hi / lo)
 
 
+def scaling_report(lo: int, hi: int, runs_lo: list, runs_hi: list,
+                   ceiling: float) -> dict:
+    """The --scaling JSON from the sorted bench runs at ``lo`` and
+    ``hi`` CPUs (median run per level)."""
+    r_lo, r_hi = runs_lo[len(runs_lo) // 2], runs_hi[len(runs_hi) // 2]
+    thr_lo, thr_hi = r_lo["docs_per_s"], r_hi["docs_per_s"]
+    eff = (thr_hi / thr_lo) / (hi / lo)
+    return {
+        "metric": f"scaling efficiency (docs/s at {lo} vs {hi} cpus)",
+        "value": round(eff, 3), "unit": "efficiency",
+        "lo": lo, "hi": hi,
+        "checksum_equal_across_parallelism":
+            len({r.get("checksum") for r in runs_lo + runs_hi}) == 1,
+        "samples_per_level": len(runs_lo), "estimator": "median",
+        "docs_per_s_lo_all": [r["docs_per_s"] for r in runs_lo],
+        "docs_per_s_hi_all": [r["docs_per_s"] for r in runs_hi],
+        "sec_lo": r_lo["value"], "sec_hi": r_hi["value"],
+        "docs_per_s_lo": thr_lo, "docs_per_s_hi": thr_hi,
+        "mb_per_s_lo": r_lo["mb_html_per_s"], "mb_per_s_hi": r_hi["mb_html_per_s"],
+        "stages_lo": r_lo["queries"], "stages_hi": r_hi["queries"],
+        "hardware_ceiling": round(ceiling, 3),
+        "normalized_efficiency": round(eff / ceiling, 3),
+        "sf": SF_DIR, "n_docs": r_hi["n_docs"],
+    }
+
+
 def main() -> None:
     if "--scaling" in sys.argv:
         # default 8 vs 32; XTRACT_SCALING_LO/HI pick another N-vs-4N
@@ -468,26 +496,8 @@ def main() -> None:
                          key=lambda r: r["value"])
         runs_hi = sorted((run_subprocess(hi) for _ in range(3)),
                          key=lambda r: r["value"])
-        r_lo, r_hi = runs_lo[1], runs_hi[1]
-        thr_lo, thr_hi = r_lo["docs_per_s"], r_hi["docs_per_s"]
-        eff = (thr_hi / thr_lo) / (hi / lo)
-        ceiling = hardware_ceiling(lo, hi)
-        print(json.dumps({
-            "metric": "scaling efficiency (docs/s at 8 vs 32 cpus)",
-            "value": round(eff, 3), "unit": "efficiency",
-            "checksum_equal_across_parallelism":
-                len({r.get("checksum") for r in runs_lo + runs_hi}) == 1,
-            "samples_per_level": 3, "estimator": "median",
-            "docs_per_s_8_all": [r["docs_per_s"] for r in runs_lo],
-            "docs_per_s_32_all": [r["docs_per_s"] for r in runs_hi],
-            "sec_8": r_lo["value"], "sec_32": r_hi["value"],
-            "docs_per_s_8": thr_lo, "docs_per_s_32": thr_hi,
-            "mb_per_s_8": r_lo["mb_html_per_s"], "mb_per_s_32": r_hi["mb_html_per_s"],
-            "stages_8": r_lo["queries"], "stages_32": r_hi["queries"],
-            "hardware_ceiling": round(ceiling, 3),
-            "normalized_efficiency": round(eff / ceiling, 3),
-            "sf": SF_DIR, "n_docs": r_hi["n_docs"],
-        }))
+        print(json.dumps(scaling_report(lo, hi, runs_lo, runs_hi,
+                                        hardware_ceiling(lo, hi))))
         return
     print(json.dumps(bench_once()))
 

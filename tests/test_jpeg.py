@@ -194,3 +194,79 @@ def test_media_features_ok_on_progressive(ray_session):
              "meta": {"codec": "jpeg"}}]
     out = decode_media(_jpeg_media_ds(rows)).to_pandas()
     assert out.decode_status.tolist() == ["ok"]
+
+
+# ---------------------------------------------------------------------------
+# corrupt streams land as ValueError / decode_error, never another type
+# ---------------------------------------------------------------------------
+
+def _sos_payloads(data: bytes) -> list[int]:
+    """Offsets of every SOS segment's payload (the Ns byte), found by
+    walking the marker segments and skipping each scan's entropy-coded
+    bytes (where 0xFF is always followed by 0x00 or an RST marker)."""
+    out = []
+    pos = 2
+    while pos + 4 <= len(data) and data[pos + 1] != 0xD9:
+        seglen = int.from_bytes(data[pos + 2:pos + 4], "big")
+        pos += 2 + seglen
+        if data[pos - seglen - 1] == 0xDA:
+            out.append(pos - seglen + 2)
+            while not (data[pos] == 0xFF and data[pos + 1] != 0x00
+                       and not 0xD0 <= data[pos + 1] <= 0xD7):
+                pos += 1
+    return out
+
+
+def _decode_status(payload: bytes) -> str:
+    from xtract.ops.multimodal import DecodeStage
+
+    batch = pa.table({"payload": [payload], "kind": ["image"],
+                      "meta": pa.array([None], pa.null())})
+    return DecodeStage()(batch)["decode_status"].to_pylist()[0]
+
+
+def test_progressive_unknown_scan_component_is_decode_error():
+    from xtract.ops.jpeg import encode_jpeg_progressive
+
+    data = bytearray(encode_jpeg_progressive(_synth_pixels(4, 16, 16)))
+    sos = _sos_payloads(bytes(data))
+    assert len(sos) > 2
+    data[sos[0] + 1] = 99  # first scan's first component selector
+    with pytest.raises(ValueError, match="unknown component"):
+        decode_jpeg(bytes(data))
+    assert _decode_status(bytes(data)) == "decode_error"
+
+
+def test_progressive_missing_ac_table_is_decode_error():
+    from xtract.ops.jpeg import encode_jpeg_progressive
+
+    data = bytearray(encode_jpeg_progressive(_synth_pixels(4, 16, 16)))
+    # the first AC scan (Ss >= 1; AC scans carry one component) names
+    # AC table 3, which no DHT segment defines
+    ac = next(p for p in _sos_payloads(bytes(data))
+              if data[p] == 1 and data[p + 3] >= 1)
+    data[ac + 2] = (data[ac + 2] & 0xF0) | 3
+    with pytest.raises(ValueError, match="Huffman table"):
+        decode_jpeg(bytes(data))
+    assert _decode_status(bytes(data)) == "decode_error"
+
+
+def test_baseline_unknown_scan_component_is_decode_error():
+    data = bytearray(encode_jpeg(_synth_pixels(4, 16, 16)))
+    (sos,) = _sos_payloads(bytes(data))
+    data[sos + 1] = 99
+    with pytest.raises(ValueError, match="unknown component"):
+        decode_jpeg(bytes(data))
+    assert _decode_status(bytes(data)) == "decode_error"
+
+
+def test_every_truncation_raises_only_value_error():
+    from xtract.ops.jpeg import encode_jpeg_progressive
+
+    px = _synth_pixels(5, 16, 16)
+    for data in (encode_jpeg(px), encode_jpeg_progressive(px)):
+        for cut in range(2, len(data)):
+            try:
+                decode_jpeg(data[:cut])
+            except ValueError:
+                pass

@@ -78,6 +78,60 @@ def test_corpus_checksum_null_warc_ts(ray_session):
     assert cs == f"2:{total:064x}"
 
 
+def _digest(u: str, txt: str) -> int:
+    import hashlib
+
+    h = hashlib.sha256()
+    h.update(u.encode())
+    h.update(b"\x00")
+    h.update(txt.encode())
+    return int(h.hexdigest(), 16)
+
+
+def test_corpus_checksum_without_warc_ts(ray_session):
+    """No warc_ts column: the winner per url is the smallest digest."""
+    import ray.data as rd
+
+    from xtract.metrics import corpus_checksum
+
+    t = pa.table({"url": ["u1", "u1", "u2"],
+                  "content_text": ["x", "y", "z"]})
+    for pin in (True, False):
+        cs = corpus_checksum(rd.from_arrow(t), pin_slim=pin)
+        total = (min(_digest("u1", "x"), _digest("u1", "y"))
+                 + _digest("u2", "z")) % (1 << 256)
+        assert cs == f"2:{total:064x}"
+    cs = corpus_checksum(rd.from_arrow(t), dedup=False)
+    total = (_digest("u1", "x") + _digest("u1", "y")
+             + _digest("u2", "z")) % (1 << 256)
+    assert cs == f"3:{total:064x}"
+
+
+def test_corpus_checksum_asks_no_schema(ray_session, monkeypatch):
+    """The projection is decided per batch: the lazy input is not
+    executed an extra time to learn its schema.  (A schema read that
+    may not fetch, as groupby's key check makes, runs nothing.)"""
+    import ray.data as rd
+
+    from xtract.metrics import corpus_checksum
+
+    calls = []
+    schema = rd.Dataset.schema
+
+    def counting_schema(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            calls.append(1)
+        return schema(self, fetch_if_missing=fetch_if_missing)
+
+    t = pa.table({"url": ["u1", "u1"],
+                  "warc_ts": pa.array([2, 1], pa.timestamp("us")),
+                  "content_text": ["late", "early"]})
+    ds = rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")
+    monkeypatch.setattr(rd.Dataset, "schema", counting_schema)
+    assert corpus_checksum(ds) == f"1:{_digest('u1', 'early'):064x}"
+    assert calls == []
+
+
 def test_char_lm_costs_never_negative(ray_session):
     import ray.data as rd
 

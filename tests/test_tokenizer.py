@@ -63,3 +63,26 @@ def test_self_closing_and_case():
     ts = toks(b"<BR/><IMG src=x>")
     assert ts[0][3] == "br" and ts[0][5] is True
     assert ts[1][3] == "img"
+
+
+def test_unterminated_decl_and_pi_to_eof():
+    # no '>' after '<!' / '<?': the construct swallows the rest,
+    # markup-looking bytes included
+    html = b"a<!doctype html <p b"
+    assert toks(html) == [("text", 0, 1), ("decl", 1, len(html))]
+    html = b"a<?xml version='1.0' <p b"
+    assert toks(html) == [("text", 0, 1), ("pi", 1, len(html))]
+
+
+def test_short_bang_is_decl_not_comment():
+    # '<!-' without the second '-' is a declaration ending at '>'
+    assert toks(b"<!-x>y") == [("decl", 0, 5), ("text", 5, 6)]
+    assert toks(b"<!-->z-->w") == [("comment", 0, 9), ("text", 9, 10)]
+
+
+def test_raw_text_end_tag_is_case_insensitive_with_attrs():
+    html = b"<script>if (a</b) x();</SCRIPT foo>after"
+    ts = toks(html)
+    assert [t[0] for t in ts] == ["start", "end", "text"]
+    assert ts[1][3] == "script" and html[ts[1][1]:ts[1][2]] == b"</SCRIPT foo>"
+    assert html[ts[2][1]:ts[2][2]] == b"after"

@@ -27,10 +27,22 @@ def test_g711_code_table_fixpoints():
 def test_wav_roundtrip_every_format():
     x = (np.sin(np.arange(4000) * 0.05) * 20000).astype(np.int16)
     for fmt, tol in [("pcm16", 0), ("pcm8", 256), ("pcm24", 0),
-                     ("float32", 1), ("ulaw", 1024), ("alaw", 1024)]:
+                     ("float32", 0), ("ulaw", 1024), ("alaw", 1024)]:
         s, r = decode_wav(encode_wav(x, 16000, fmt=fmt))
         assert r == 16000 and len(s) == len(x)
         assert np.abs(s.astype(int) - x.astype(int)).max() <= tol, fmt
+
+
+def test_wav_float32_hand_built_full_scale():
+    # a float32 payload written without the in-repo encoder: the decoder
+    # scales by 32768, so -1.0 is the int16 minimum and +1.0 clips
+    f = np.array([0.0, 0.75, -1.0, 1.0, -0.5, 1 / 32768], "<f4")
+    fmt = struct.pack("<HHIIHH", 3, 1, 8000, 8000 * 4, 4, 32)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", f.nbytes) + f.tobytes())
+    s, r = decode_wav(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert r == 8000
+    assert s.tolist() == [0, 24576, -32768, 32767, -16384, 1]
 
 
 def test_wav_32bit_stereo_and_extensible():

@@ -1,14 +1,20 @@
-"""Deterministic byte-offset HTML tokenizer.
+"""The HTML grammar: one deterministic byte-offset scanner.
 
-Operates directly on the raw ``html`` bytes so every text token carries
-its exact byte span in the source for free — spans are the engine's
+``scan`` is the only HTML scan loop in the engine.  It walks the raw
+``html`` bytes with one master pattern and reports each construct to
+callbacks with its exact byte span, so spans are the engine's
 "bounding boxes" (reference ``bounding_box``,
-``src/page_iterator.rs:110-134``).  Error recovery is specified, not
-best-effort: a ``<`` that does not start a well-formed tag, comment,
-declaration or processing instruction is literal text; an unterminated
-comment or raw-text element runs to EOF.  The same tokenizer is used by
-the sequential oracle and the distributed stage, so recovery decisions
-are identical everywhere (SURVEY §7 hard part (b)).
+``src/page_iterator.rs:110-134``).  ``segment()`` passes its stack
+machine's methods straight in (no token objects on the hot path);
+``tokenize`` collects the same constructs as tuples for the other
+consumers (links, tables, structured data, templates, robots).
+
+Error recovery is specified, not best-effort: a ``<`` that does not
+start a well-formed tag, comment, declaration or processing instruction
+is literal text; an unterminated comment, declaration, processing
+instruction or raw-text element runs to EOF.  The sequential oracle and
+the distributed stage share this scanner, so recovery decisions are
+identical everywhere (SURVEY §7 hard part (b)).
 
 Tokens are tuples (cheap, no classes):
     ("text", start, end)                      raw text bytes [start, end)
@@ -21,20 +27,25 @@ Tag names are lower-cased ASCII strings.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 TokenT = tuple
 
-# Tag: optional '/', name, attr soup (quote-aware so '>' inside quotes is
-# not a terminator), optional trailing '/'.
-_TAG_RE = re.compile(
-    rb"<(/?)([a-zA-Z][a-zA-Z0-9:_-]*)"
-    rb"((?:\"[^\"]*\"|'[^']*'|[^>\"'])*?)"
-    rb"(/?)>"
+#: one alternative per construct, tried in order at each position;
+#: ``m.lastindex`` names the one that matched (None: a literal '<').
+#: A tag is '<', optional '/', name, attr soup (quote-aware so '>'
+#: inside quotes is not a terminator), optional trailing '/', '>'.
+_SCAN_RE = re.compile(
+    rb"([^<]+)"                                     # 1 text
+    rb"|(<!--(?:.*?-->|.*))"                        # 2 comment
+    rb"|(<![^>]*>?)"                                # 3 declaration
+    rb"|(<\?[^>]*>?)"                               # 4 processing instruction
+    rb"|<(/?)([a-zA-Z][a-zA-Z0-9:_-]*)"             # 5 '/', 6 name
+    rb"((?:\"[^\"]*\"|'[^']*'|[^>\"'])*?)(/?)>"     # 7 attrs, 8 '/'
+    rb"|<",                                         # literal '<'
+    re.S,
 )
-_COMMENT_RE = re.compile(rb"<!--.*?-->", re.S)
-_DECL_RE = re.compile(rb"<![^>]*>")
-_PI_RE = re.compile(rb"<\?[^>]*>")
+_TEXT, _COMMENT, _DECL, _PI, _TAG = 1, 2, 3, 4, 8
+_OTHER_KINDS = {_COMMENT: "comment", _DECL: "decl", _PI: "pi"}
 
 #: Elements whose content is raw text (no markup parsed inside).
 RAW_TEXT_ELEMENTS = frozenset({"script", "style", "textarea", "title", "xmp", "noscript"})
@@ -47,72 +58,89 @@ _RAW_END_RES: dict[str, re.Pattern] = {
     t: re.compile(rb"</" + t.encode() + rb"(?:\s[^>]*)?>", re.I) for t in RAW_TEXT_ELEMENTS
 }
 
+#: decoded-tag-name cache (name bytes → lowercase str), shared per
+#: worker process; bounded so hostile unique-tag documents can't grow it
+_TAG_NAMES: dict[bytes, str] = {}
 
-def tokenize(html: bytes) -> Iterator[TokenT]:
-    """Yield tokens over ``html`` with byte offsets.  Never raises on
+#: deadline-monitor check cadence, in scanned constructs (a few KiB of
+#: html per check — cheap enough to be invisible, fine-grained enough to
+#: bound overrun to milliseconds)
+_CHECK_EVERY = 256
+
+
+def scan(html: bytes, on_text, on_start, on_end, on_other=None, monitor=None) -> None:
+    """Scan ``html`` once, calling
+    ``on_text(start, end)``, ``on_start(tag, attrs_bytes, self_closing,
+    start, end)``, ``on_end(tag, start, end)`` and, when given,
+    ``on_other(kind, start, end)`` for comments, declarations and
+    processing instructions, in document order.  Never raises on
     malformed input (typed per-row errors happen above this layer,
-    mirroring reference src/error.rs — parse never aborts the job)."""
+    mirroring reference src/error.rs — parse never aborts the job).
+
+    ``monitor`` (xtract.monitor.Monitor): checked every ``_CHECK_EVERY``
+    constructs — deadline expiry aborts the scan mid-document via
+    ``ExtractionCancelled`` (TessMonitor analogue, reference
+    ``src/monitor.rs:30-37``).  Progress tracks the byte position over
+    0-90% of the document's budget; classify/assemble take the rest."""
     n = len(html)
     pos = 0
+    match = _SCAN_RE.match
+    ticks = 0
     while pos < n:
-        lt = html.find(b"<", pos)
-        if lt < 0:
-            yield ("text", pos, n)
-            return
-        if lt > pos:
-            yield ("text", pos, lt)
-        # classify the construct at `lt`
-        if html.startswith(b"<!--", lt):
-            m = _COMMENT_RE.match(html, lt)
-            if m:
-                yield ("comment", lt, m.end())
-                pos = m.end()
-            else:  # unterminated comment → to EOF
-                yield ("comment", lt, n)
-                return
-            continue
-        if html.startswith(b"<!", lt):
-            m = _DECL_RE.match(html, lt)
-            if m:
-                yield ("decl", lt, m.end())
-                pos = m.end()
+        if monitor is not None:
+            ticks += 1
+            if not ticks % _CHECK_EVERY:
+                monitor.set_progress(90 * pos // n)
+                monitor.check()
+        m = match(html, pos)
+        end = m.end()
+        kind = m.lastindex
+        if kind == _TEXT:
+            on_text(pos, end)
+        elif kind == _TAG:
+            closing, name_b, attrs_b, selfclose = m.group(5, 6, 7, 8)
+            tag = _TAG_NAMES.get(name_b)
+            if tag is None:
+                tag = name_b.decode("ascii").lower()
+                if len(_TAG_NAMES) < 4096:  # bounded vs hostile tag spray
+                    _TAG_NAMES[name_b] = tag
+            if closing:
+                on_end(tag, pos, end)
             else:
-                yield ("decl", lt, n)
-                return
-            continue
-        if html.startswith(b"<?", lt):
-            m = _PI_RE.match(html, lt)
-            if m:
-                yield ("pi", lt, m.end())
-                pos = m.end()
-            else:
-                yield ("pi", lt, n)
-                return
-            continue
-        m = _TAG_RE.match(html, lt)
-        if m is None:
-            # recovery rule: literal '<' is text
-            yield ("text", lt, lt + 1)
-            pos = lt + 1
-            continue
-        closing, name_b, attrs_b, selfclose = m.group(1), m.group(2), m.group(3), m.group(4)
-        tag = name_b.decode("ascii").lower()
-        pos = m.end()
-        if closing:
-            yield ("end", lt, m.end(), tag)
-            continue
-        yield ("start", lt, m.end(), tag, attrs_b, bool(selfclose))
-        if tag in RAW_TEXT_ELEMENTS and not selfclose:
-            em = _RAW_END_RES[tag].search(html, pos)
-            if em is None:  # unterminated raw element → content to EOF
-                if tag in RAW_TEXT_KEPT and pos < n:
-                    yield ("text", pos, n)
-                yield ("end", n, n, tag)
-                return
-            if tag in RAW_TEXT_KEPT and em.start() > pos:
-                yield ("text", pos, em.start())
-            yield ("end", em.start(), em.end(), tag)
-            pos = em.end()
+                on_start(tag, attrs_b, bool(selfclose), pos, end)
+                if tag in RAW_TEXT_ELEMENTS and not selfclose:
+                    em = _RAW_END_RES[tag].search(html, end)
+                    # unterminated raw element → content to EOF
+                    body_end = n if em is None else em.start()
+                    if tag in RAW_TEXT_KEPT and body_end > end:
+                        on_text(end, body_end)
+                    if em is None:
+                        on_end(tag, n, n)
+                        break
+                    end = em.end()
+                    on_end(tag, body_end, end)
+        elif kind is None:
+            on_text(pos, end)  # recovery rule: literal '<' is text
+        elif on_other is not None:
+            on_other(_OTHER_KINDS[kind], pos, end)
+        pos = end
+    if monitor is not None:
+        monitor.set_progress(90)
+        monitor.check()
+
+
+def tokenize(html: bytes) -> list[TokenT]:
+    """``scan`` collected into a list of token tuples."""
+    out: list[TokenT] = []
+    add = out.append
+    scan(
+        html,
+        lambda s, e: add(("text", s, e)),
+        lambda tag, attrs_b, selfclose, s, e: add(("start", s, e, tag, attrs_b, selfclose)),
+        lambda tag, s, e: add(("end", s, e, tag)),
+        lambda kind, s, e: add((kind, s, e)),
+    )
+    return out
 
 
 _ATTR_RE = re.compile(

@@ -21,7 +21,7 @@ import hashlib
 import pandas as pd
 import pyarrow as pa
 
-from .pipeline import _shard_digest_partial, merge_checksum_partials
+from .pipeline import merge_checksum_partials
 
 
 def dedup_by_url(extracted_ds):
@@ -64,10 +64,15 @@ def corpus_checksum(extracted_ds, dedup: bool = True,
     bit-for-bit."""
     import pyarrow.compute as pc
 
-    ds = extracted_ds.map_batches(add_digest, batch_format="pyarrow")
-    cols = [c for c in ("url", "warc_ts", "digest")
-            if c in extracted_ds.schema().names or c == "digest"]
-    ds = ds.select_columns(cols)
+    def slim(t: pa.Table) -> pa.Table:
+        t = add_digest(t)
+        return t.select([c for c in ("url", "warc_ts", "digest")
+                         if c in t.column_names])
+
+    # the projection is decided per batch from its own columns: asking
+    # the lazy dataset for its schema would run the extract pipeline an
+    # extra time under a limit-1 plan
+    ds = extracted_ds.map_batches(slim, batch_format="pyarrow")
     if dedup and pin_slim:
         # pin the slim (url, ts, digest) projection before the
         # all-to-all: when the groupby consumes the expensive extract
@@ -85,13 +90,13 @@ def corpus_checksum(extracted_ds, dedup: bool = True,
         # winner regardless of partitioning.  (Measured ~1.5× faster
         # than the generic combiner+co-group winner on slim columns;
         # first_row_per_key remains the pattern for full-row winners.)
+        # The digest is always the composite's last 64 characters.
         from ray.data.aggregate import Min
 
-        has_ts = "warc_ts" in cols
         _TS_OFF = 1 << 62  # keeps the zero-padded int non-negative
 
         def add_comp(t: pa.Table) -> pa.Table:
-            if has_ts:
+            if "warc_ts" in t.column_names:
                 # null warc_ts must not poison the composite (Min skips
                 # nulls → a url whose every row has null ts would get a
                 # null winner).  Fill with the max sentinel so null-ts
@@ -110,8 +115,7 @@ def corpus_checksum(extracted_ds, dedup: bool = True,
         winners = ds.map_batches(add_comp, batch_format="pyarrow").groupby(
             "url").aggregate(Min("comp", alias_name="comp"))
         ds = winners.map_batches(
-            lambda t: pa.table({"digest": pc.utf8_slice_codeunits(
-                t["comp"], 20 if has_ts else 0, 20 + 64 if has_ts else 64)}),
+            lambda t: pa.table({"digest": pc.utf8_slice_codeunits(t["comp"], -64)}),
             batch_format="pyarrow")
 
     def partial(b: pa.Table) -> pa.Table:

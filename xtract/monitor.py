@@ -2,11 +2,11 @@
 analogue (reference ``src/monitor.rs:18-50``: ``set_deadline_ms``,
 ``is_expired``/``cancel`` checked DURING recognition, ``get_progress``).
 
-A ``Monitor`` rides along one ``extract_document`` call: the segmenter
-checks it between tokenizer chunks, so a pathological multi-MB page is
-aborted mid-parse (status ``'timeout'``) instead of running to
-completion — the round-1 engine only flagged the overrun after the
-fact.  ``get_progress`` reports 0–100 like the reference's
+A ``Monitor`` rides along one ``extract_document`` call: the HTML
+scanner checks it every few hundred constructs, so a pathological
+multi-MB page is aborted mid-parse (status ``'timeout'``) instead of
+running to completion — the round-1 engine only flagged the overrun
+after the fact.  ``get_progress`` reports 0–100 like the reference's
 ``TessMonitor::get_progress`` (``src/monitor.rs:39-50``).
 
 Determinism note (same trade as the reference): a wall-clock deadline

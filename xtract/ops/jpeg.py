@@ -107,6 +107,8 @@ _B[0, :] *= 1 / np.sqrt(2)
 
 def _huff_codes(bits, values):
     """(bits, values) → {(length, code): symbol} per T.81 C.2."""
+    if len(bits) != 16 or len(values) < sum(bits):
+        raise ValueError("jpeg: truncated Huffman table")
     out = {}
     code = 0
     k = 0
@@ -171,6 +173,22 @@ def _extend(v: int, t: int) -> int:
     return v if t == 0 or v >= (1 << (t - 1)) else v - (1 << t) + 1
 
 
+def _table(tables: dict, key, what: str):
+    """A quantization or Huffman table the stream must have defined."""
+    try:
+        return tables[key]
+    except KeyError:
+        raise ValueError(f"jpeg: {what} table {key} not defined") from None
+
+
+def _scan_component(comps: list[dict], cs: int) -> dict:
+    """The frame component an SOS component selector names."""
+    for c in comps:
+        if c["id"] == cs:
+            return c
+    raise ValueError(f"jpeg: scan names unknown component {cs}")
+
+
 def decode_jpeg(data: bytes) -> np.ndarray:
     """JFIF bytes → (h, w, 3) uint8 RGB.  Baseline (SOF0/1) and
     progressive (SOF2, round 5) Huffman streams decode; ValueError on
@@ -195,6 +213,8 @@ def decode_jpeg(data: bytes) -> np.ndarray:
             break
         seglen = int.from_bytes(data[pos:pos + 2], "big")
         seg = data[pos + 2:pos + seglen]
+        if seglen < 2 or len(seg) != seglen - 2:
+            raise ValueError("jpeg: truncated marker segment")
         if marker == 0xDB:  # DQT
             p = 0
             while p < len(seg):
@@ -212,6 +232,8 @@ def decode_jpeg(data: bytes) -> np.ndarray:
         elif marker == 0xC0 or marker == 0xC1:  # SOF0/1 baseline
             h = int.from_bytes(seg[1:3], "big")
             w = int.from_bytes(seg[3:5], "big")
+            if len(seg) < 6 or len(seg) < 6 + 3 * seg[5]:
+                raise ValueError("jpeg: short SOF segment")
             nc = seg[5]
             comps = []
             for i in range(nc):
@@ -237,11 +259,13 @@ def decode_jpeg(data: bytes) -> np.ndarray:
         elif marker == 0xDD:  # DRI
             restart_interval = int.from_bytes(seg[0:2], "big")
         elif marker == 0xDA:  # SOS
+            if not seg or len(seg) < 4 + 2 * seg[0]:
+                raise ValueError("jpeg: short SOS segment")
             ns = seg[0]
             scan_comps = []
             for i in range(ns):
                 cs, tdta = seg[1 + 2 * i:3 + 2 * i]
-                comp = next(c for c in comps if c["id"] == cs)
+                comp = _scan_component(comps, cs)
                 scan_comps.append(dict(comp, td=tdta >> 4,
                                        ta=tdta & 15))
             scan_start = pos + seglen
@@ -306,9 +330,9 @@ def decode_jpeg(data: bytes) -> np.ndarray:
             pred = {c["id"]: 0 for c in scan_comps}
         my, mx = divmod(m, mcux)
         for c in scan_comps:
-            dq = qt[c["tq"]]
-            dctab = huff[(0, c["td"])]
-            actab = huff[(1, c["ta"])]
+            dq = _table(qt, c["tq"], "quantization")
+            dctab = _table(huff, (0, c["td"]), "Huffman")
+            actab = _table(huff, (1, c["ta"]), "Huffman")
             for by in range(c["v"]):
                 for bx in range(c["h"]):
                     zz = np.zeros(64, np.float64)
@@ -443,7 +467,7 @@ def _prog_dc_scan(reader_segs, scan_comps, coeffs, dims, huff,
 
 def _dc_block(reader, c, coef, by, bx, huff, pred, ah, al) -> None:
     if ah == 0:
-        t = reader.decode_symbol(huff[(0, c["td"])])
+        t = reader.decode_symbol(_table(huff, (0, c["td"]), "Huffman"))
         diff = _extend(reader.read_bits(t), t)
         pred[c["id"]] += diff
         coef[by, bx, 0] = pred[c["id"]] << al
@@ -575,6 +599,8 @@ def _decode_progressive(data: bytes) -> np.ndarray:
             break
         seglen = int.from_bytes(data[pos:pos + 2], "big")
         seg = data[pos + 2:pos + seglen]
+        if seglen < 2 or len(seg) != seglen - 2:
+            raise ValueError("jpeg: truncated marker segment")
         if marker == 0xDB:  # DQT
             p = 0
             while p < len(seg):
@@ -592,6 +618,8 @@ def _decode_progressive(data: bytes) -> np.ndarray:
         elif marker == 0xC2:  # SOF2
             h = int.from_bytes(seg[1:3], "big")
             w = int.from_bytes(seg[3:5], "big")
+            if len(seg) < 6 or len(seg) < 6 + 3 * seg[5]:
+                raise ValueError("jpeg: short SOF segment")
             nc = seg[5]
             comps = []
             for i in range(nc):
@@ -628,11 +656,13 @@ def _decode_progressive(data: bytes) -> np.ndarray:
         elif marker == 0xDA:  # SOS — decode this scan now
             if not comps:
                 raise ValueError("jpeg: SOS before SOF2")
+            if not seg or len(seg) < 4 + 2 * seg[0]:
+                raise ValueError("jpeg: short SOS segment")
             ns = seg[0]
             scan_comps = []
             for i in range(ns):
                 cs, tdta = seg[1 + 2 * i:3 + 2 * i]
-                comp = next(c for c in comps if c["id"] == cs)
+                comp = _scan_component(comps, cs)
                 scan_comps.append(dict(comp, td=tdta >> 4,
                                        ta=tdta & 15))
             ss, se = seg[1 + 2 * ns], seg[2 + 2 * ns]
@@ -656,7 +686,8 @@ def _decode_progressive(data: bytes) -> np.ndarray:
                 c = scan_comps[0]
                 bw, bh = dims[c["id"]]
                 _prog_ac_scan(segs, c, coeffs[c["id"]], bw, bh,
-                              huff[(1, c["ta"])], ss, se, ah, al,
+                              _table(huff, (1, c["ta"]), "Huffman"),
+                              ss, se, ah, al,
                               restart_interval)
             saw_scan = True
             continue
@@ -668,7 +699,7 @@ def _decode_progressive(data: bytes) -> np.ndarray:
     for c in comps:
         zz = coeffs[c["id"]]
         by, bx = zz.shape[0], zz.shape[1]
-        dq = qt[c["tq"]]
+        dq = _table(qt, c["tq"], "quantization")
         plane = np.zeros((by * 8, bx * 8), np.float64)
         for yb in range(by):
             for xb in range(bx):

@@ -150,6 +150,12 @@ def _alaw_encode(samples: np.ndarray) -> np.ndarray:
     return ((aval ^ mask) & 0xFF).astype(np.uint8)
 
 
+#: IEEE-float WAV full scale: int16 sample s <-> float s / 32768, the
+#: same factor both ways so every int16 round-trips exactly (+1.0
+#: clips to 32767)
+_FLOAT_SCALE = 32768.0
+
+
 def encode_wav(samples: np.ndarray, sample_rate: int,
                fmt: str = "pcm16") -> bytes:
     """int16 mono samples → WAV bytes.  ``fmt``: ``pcm16`` (stdlib
@@ -173,7 +179,7 @@ def encode_wav(samples: np.ndarray, sample_rate: int,
         tag, bits = 1, 24
     elif fmt == "float32":
         tag, bits = 3, 32
-        payload = (s / 32768.0).astype("<f4").tobytes()
+        payload = (s / _FLOAT_SCALE).astype("<f4").tobytes()
     elif fmt == "ulaw":
         tag, bits, payload = 7, 8, _ulaw_encode(s).tobytes()
     elif fmt == "alaw":
@@ -234,7 +240,7 @@ def decode_wav(data: bytes) -> tuple[np.ndarray, int]:
             raise NotImplementedError(f"wav: {bits}-bit PCM unsupported")
     elif tag == 3 and bits == 32:  # IEEE float
         f = np.frombuffer(payload, "<f4").astype(np.float64)
-        s = np.clip(np.round(f * 32767.0), -32768, 32767).astype(np.int32)
+        s = np.clip(np.round(f * _FLOAT_SCALE), -32768, 32767).astype(np.int32)
     elif tag == 7 and bits == 8:  # μ-law
         s = _ulaw_decode(np.frombuffer(payload, np.uint8)).astype(np.int32)
     elif tag == 6 and bits == 8:  # A-law

@@ -38,12 +38,7 @@ from .dom import (
     VOID_ELEMENTS,
 )
 from .html_tokenizer import RAW_TEXT_ELEMENTS as _RAW_TEXT
-from .html_tokenizer import parse_attrs, tokenize
-
-#: deadline-monitor check cadence, in tokenizer iterations (a few KiB of
-#: html per check — cheap enough to be invisible, fine-grained enough to
-#: bound overrun to milliseconds)
-_CHECK_EVERY = 256
+from .html_tokenizer import parse_attrs, scan
 
 _WS_RE = re.compile(r"[\s\xa0]+")
 _SPACES_RE = re.compile(r" {2,}")
@@ -117,7 +112,7 @@ class _Open:
 
 
 class Segmenter:
-    """Stack machine: feed tokens, collect finished Blocks."""
+    """Stack machine: ``scan`` callbacks in, finished Blocks out."""
 
     def __init__(self, html: bytes) -> None:
         self.html = html
@@ -397,7 +392,8 @@ class Segmenter:
                 self.hidden_d -= 1
             self._leave(o.tag)
 
-    def start_tag(self, tag: str, attrs_b: bytes, selfclose: bool, start: int) -> None:
+    def start_tag(self, tag: str, attrs_b: bytes, selfclose: bool, start: int,
+                  end: int) -> None:
         is_block = tag in BLOCK_ELEMENTS or tag == "hr"
         if is_block and self._cur is not None:   # inline no-op guard
             self.flush()
@@ -435,7 +431,7 @@ class Segmenter:
             return
         self._push(tag, attrs_b)
 
-    def end_tag(self, tag: str) -> None:
+    def end_tag(self, tag: str, start: int, end: int) -> None:
         if tag == "br" or tag in VOID_ELEMENTS:
             return
         # find nearest matching open tag; a stray end tag (not open) is
@@ -467,10 +463,6 @@ class Segmenter:
         return self.blocks
 
 
-#: decoded-tag-name cache (name bytes → lowercase str), shared per
-#: worker process; bounded so hostile unique-tag documents can't grow it
-_TAG_NAMES: dict = {}
-
 #: the byte values bytes.isspace() treats as whitespace
 _WS_BYTES = frozenset(b" \t\n\r\x0b\x0c")
 
@@ -478,94 +470,10 @@ _WS_BYTES = frozenset(b" \t\n\r\x0b\x0c")
 def segment(html: bytes, monitor=None) -> list[Block]:
     """Tokenize + segment one HTML document into ordered blocks.
 
-    The token scan is inlined (same rules as ``html_tokenizer.tokenize``
-    — that module remains the standalone tokenizer surface and its tests
-    pin the shared grammar) so the hot path allocates no token tuples.
-
-    ``monitor`` (xtract.monitor.Monitor): checked every ``_CHECK_EVERY``
-    tokens — deadline expiry aborts the parse mid-document via
-    ``ExtractionCancelled`` (TessMonitor analogue, reference
-    ``src/monitor.rs:30-37``); progress tracks byte position."""
-    from .html_tokenizer import (
-        _COMMENT_RE,
-        _DECL_RE,
-        _PI_RE,
-        _RAW_END_RES,
-        _TAG_RE,
-        RAW_TEXT_ELEMENTS,
-        RAW_TEXT_KEPT,
-    )
-
+    ``html_tokenizer.scan`` drives the :class:`Segmenter`'s callbacks
+    directly, so the hot path allocates no token tuples.  ``monitor``
+    (xtract.monitor.Monitor) is checked by the scan: deadline expiry
+    aborts the parse mid-document via ``ExtractionCancelled``."""
     seg = Segmenter(html)
-    text_run = seg.text_run
-    start_tag = seg.start_tag
-    end_tag = seg.end_tag
-    n = len(html)
-    pos = 0
-    find = html.find
-    ticks = 0
-    while pos < n:
-        if monitor is not None:
-            ticks += 1
-            if not ticks % _CHECK_EVERY:
-                # segmentation spans 0-90% of the document's progress
-                # budget; classify/assemble take the rest
-                monitor.set_progress(90 * pos // n if n else 90)
-                monitor.check()
-        lt = find(b"<", pos)
-        if lt < 0:
-            text_run(pos, n)
-            break
-        if lt > pos:
-            text_run(pos, lt)
-        # one-byte dispatch on the char after '<' (33='!', 63='?'):
-        # replaces three startswith scans per tag candidate
-        nxt = html[lt + 1] if lt + 1 < n else 0
-        if nxt == 33:
-            if html.startswith(b"<!--", lt):
-                m = _COMMENT_RE.match(html, lt)
-                if m is None:
-                    break  # unterminated comment → rest is dropped
-            else:
-                m = _DECL_RE.match(html, lt)
-                if m is None:
-                    break
-            pos = m.end()
-            continue
-        if nxt == 63:
-            m = _PI_RE.match(html, lt)
-            if m is None:
-                break
-            pos = m.end()
-            continue
-        m = _TAG_RE.match(html, lt)
-        if m is None:
-            text_run(lt, lt + 1)  # literal '<' is text
-            pos = lt + 1
-            continue
-        closing, name_b, attrs_b, selfclose = m.group(1, 2, 3, 4)
-        tag = _TAG_NAMES.get(name_b)
-        if tag is None:
-            tag = name_b.decode("ascii").lower()
-            if len(_TAG_NAMES) < 4096:  # bounded vs hostile tag spray
-                _TAG_NAMES[name_b] = tag
-        pos = m.end()
-        if closing:
-            end_tag(tag)
-            continue
-        start_tag(tag, attrs_b, bool(selfclose), lt)
-        if tag in RAW_TEXT_ELEMENTS and not selfclose:
-            em = _RAW_END_RES[tag].search(html, pos)
-            if em is None:
-                if tag in RAW_TEXT_KEPT and pos < n:
-                    text_run(pos, n)
-                end_tag(tag)
-                break
-            if tag in RAW_TEXT_KEPT and em.start() > pos:
-                text_run(pos, em.start())
-            end_tag(tag)
-            pos = em.end()
-    if monitor is not None:
-        monitor.set_progress(90)
-        monitor.check()
+    scan(html, seg.text_run, seg.start_tag, seg.end_tag, monitor=monitor)
     return seg.finish()
