@@ -430,6 +430,24 @@ def test_decontaminate_flags_benchmark_overlap(ray_session):
     assert not bool(out.loc[1, "is_contaminated"])
 
 
+def test_decontaminate_gates_the_benchmark_broadcast(ray_session, monkeypatch):
+    import ray.data as rd
+
+    from xtract.ops import textstats
+    from xtract.ops.textstats import decontaminate
+
+    words = " ".join(f"w{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(40))
+    train = rd.from_items([{"doc_id": 0, "text": words}])
+    # 40 words → 28 distinct 13-grams on the benchmark side
+    bench = rd.from_items([{"text": words}])
+    monkeypatch.setattr(textstats, "BENCH_NGRAM_LIMIT", 27)
+    with pytest.raises(ValueError, match="BENCH_NGRAM_LIMIT"):
+        decontaminate(train, bench, n=13)
+    monkeypatch.setattr(textstats, "BENCH_NGRAM_LIMIT", 28)
+    out = decontaminate(train, bench, n=13).to_pandas()
+    assert out.n_contaminated_ngrams.tolist() == [28]
+
+
 def test_deterministic_sample(ray_session):
     import ray.data as rd
 

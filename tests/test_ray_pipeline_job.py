@@ -108,3 +108,104 @@ def test_manifest_carries_extraction_metrics(ray_session, tmp_path):
     assert isinstance(m["status_counts"], dict) and m["status_counts"]
     assert m["parse_failures"] >= 0
     assert m["docs_per_s"] and m["docs_per_s"] > 0
+
+
+@pytest.fixture(scope="module")
+def totals_job(ray_session, sf_dir, tmp_path_factory):
+    """Three shards of synth pages (bad_encoding, PDF and empty rows among
+    them); the second shard holds an input file with 0 rows."""
+    import pyarrow.parquet as pq
+
+    base = tmp_path_factory.mktemp("totals")
+    in_dir, out_dir = str(base / "in"), str(base / "out")
+    synth_pages_dataset(sf_dir).repartition(5).write_parquet(in_dir)
+    files = sorted(os.path.join(in_dir, f) for f in os.listdir(in_dir)
+                   if f.endswith(".parquet"))
+    empty = os.path.join(in_dir, "empty.parquet")
+    pq.write_table(pq.read_schema(files[0]).empty_table(), empty)
+    files = files[:2] + [empty] + files[2:]
+    manifests = run_extraction_job(files, out_dir, DEFAULT_CONFIG, shard_size=2)
+    return files, out_dir, manifests
+
+
+def test_manifests_sum_to_independent_totals(totals_job):
+    from collections import Counter
+
+    from xtract.metrics import corpus_checksum, corpus_metrics
+    from xtract.pipeline import merge_checksum_partials
+
+    _, out_dir, manifests = totals_job
+    assert len(manifests) == 3 and all(m["n_rows"] > 0 for m in manifests)
+    tot = corpus_metrics(read_extracted(out_dir))
+    assert sum(m["n_rows"] for m in manifests) == tot["n_docs"]
+    for k in ("html_bytes", "blocks_kept", "blocks_dropped"):
+        assert sum(m["metrics"][k] for m in manifests) == tot[k], k
+    statuses = Counter()
+    for m in manifests:
+        statuses.update(m["metrics"]["status_counts"])
+    assert dict(statuses) == tot["status_counts"]
+    assert {"bad_encoding", "empty"} <= set(statuses)
+    assert sum(m["metrics"]["parse_failures"] for m in manifests) >= statuses["bad_encoding"]
+    parts = [tuple(reversed(m["checksum"].split(":"))) for m in manifests]
+    assert merge_checksum_partials(parts) == corpus_checksum(
+        read_extracted(out_dir), dedup=False)
+
+
+def test_shard_of_empty_files_has_an_empty_manifest(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.schema([
+        ("url", pa.string()), ("warc_ts", pa.timestamp("us")),
+        ("html", pa.binary()), ("text", pa.string()), ("lang", pa.string()),
+    ]).empty_table(), empty)
+    for sidecar in (False, True):
+        (m,) = run_extraction_job([empty], str(tmp_path / f"out{sidecar}"),
+                                  DEFAULT_CONFIG, write_sidecar=sidecar)
+        assert m["complete"] and m["n_rows"] == 0
+        assert m["checksum"] == f"0:{0:064x}"
+        assert m["metrics"]["status_counts"] == {}
+
+
+def test_job_reads_and_shuffles_nothing_of_its_own(ray_session, sf_dir,
+                                                  tmp_path, monkeypatch):
+    """One Ray execution per shard: the manifest comes from the write
+    tasks, so the job never reads back its output (unless the sidecar
+    asks for it) and runs no groupby or aggregate."""
+    import ray.data as rd
+
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    synth_pages_dataset(sf_dir).limit(60).repartition(2).write_parquet(in_dir)
+    files = sorted(os.path.join(in_dir, f) for f in os.listdir(in_dir)
+                   if f.endswith(".parquet"))
+    reads, exchanges = [], []
+    read_parquet = rd.read_parquet
+
+    def counting_read(paths, *a, **k):
+        reads.extend([paths] if isinstance(paths, str) else paths)
+        return read_parquet(paths, *a, **k)
+
+    def counting(name):
+        real = getattr(rd.Dataset, name)
+
+        def f(self, *a, **k):
+            exchanges.append(name)
+            return real(self, *a, **k)
+        return f
+
+    def reads_under(d):
+        return [p for p in reads if str(p).startswith(d + os.sep)]
+
+    monkeypatch.setattr(rd, "read_parquet", counting_read)
+    for name in ("groupby", "aggregate"):
+        monkeypatch.setattr(rd.Dataset, name, counting(name))
+    ms = run_extraction_job(files, out_dir, DEFAULT_CONFIG, shard_size=1,
+                            write_sidecar=False)
+    assert len(ms) == 2 and sum(m["n_rows"] for m in ms) == 60
+    assert reads and reads_under(out_dir) == [] and exchanges == []
+    # the spy does see a re-read of the output when the sidecar asks
+    side_dir = str(tmp_path / "side")
+    run_extraction_job(files, side_dir, DEFAULT_CONFIG, shard_size=1,
+                       write_sidecar=True)
+    assert reads_under(side_dir)

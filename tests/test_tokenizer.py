@@ -86,3 +86,58 @@ def test_raw_text_end_tag_is_case_insensitive_with_attrs():
     assert [t[0] for t in ts] == ["start", "end", "text"]
     assert ts[1][3] == "script" and html[ts[1][1]:ts[1][2]] == b"</SCRIPT foo>"
     assert html[ts[2][1]:ts[2][2]] == b"after"
+
+
+def _growth(make, n: int) -> float:
+    """Process-time ratio of tokenizing ``make(4 * n)`` to ``make(n)``,
+    best of 3 each: about 4 for a linear scan, about 16 for a quadratic
+    one, and little moved by other load on the host."""
+    import time
+
+    def best(html: bytes) -> float:
+        times = []
+        for _ in range(3):
+            t0 = time.process_time()
+            toks(html)
+            times.append(time.process_time() - t0)
+        return max(min(times), 1e-4)
+
+    return best(make(4 * n)) / best(make(n))
+
+
+def test_unclosable_tags_are_literal_text_in_linear_time():
+    # a '<' + name whose attr soup reaches EOF, or a quote with no
+    # partner, before any '>' is literal text; deciding that must not
+    # rescan to EOF at every such '<' (8 KB of it once took 1.4 s)
+    for tail in (b"", b'"', b'">'):
+        growth = _growth(lambda k: b"<a" * k + tail, 25_000)
+        assert growth < 10, (tail, growth)
+    growth = _growth(lambda k: b"<" + b"a" * (2 * k) + b'">', 25_000)
+    assert growth < 10, growth
+    base = b"<a" * 100_000
+    for html in (base, base + b'"', base + b'">', b"<" + b"a" * 200_000 + b'">'):
+        ts = toks(html)
+        assert all(t[0] == "text" for t in ts)
+        assert ts[0][1] == 0 and ts[-1][2] == len(html)
+        assert all(a[2] == b[1] for a, b in zip(ts, ts[1:]))
+    assert toks(base)[:4] == [
+        ("text", 0, 1), ("text", 1, 2), ("text", 2, 3), ("text", 3, 4)]
+
+
+def test_unterminated_raw_text_end_search_is_linear():
+    growth = _growth(lambda k: b"<script>" + b"</script x" * k, 5_000)
+    assert growth < 10, growth
+    html = b"<script>" + b"</script x" * 20_000
+    assert toks(html) == [("start", 0, 8, "script", b"", False),
+                          ("end", len(html), len(html), "script")]
+
+
+def test_tags_after_an_unclosable_tag_still_close():
+    # the first '<a' fails on its unpaired quote; later tags, including
+    # one inside that tag's quoted run, are decided on their own
+    assert toks(b'<a "x <b>y</b>') == [
+        ("text", 0, 1), ("text", 1, 6), ("start", 6, 9, "b", b"", False),
+        ("text", 9, 10), ("end", 10, 14, "b")]
+    assert toks(b'<a "<b>" "<i>z') == [
+        ("text", 0, 1), ("text", 1, 4), ("start", 4, 7, "b", b"", False),
+        ("text", 7, 10), ("start", 10, 13, "i", b"", False), ("text", 13, 14)]

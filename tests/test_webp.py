@@ -39,6 +39,43 @@ def test_roundtrip_every_predictor_mode():
         assert np.array_equal(out, px), mode
 
 
+def test_predictor_top_right_at_right_edge_is_current_row_leftmost():
+    """Hand-built 3x2 VP8L stream, predictor mode 3 (TR) everywhere; the
+    expected pixels follow RFC 9649 section 4.1 by hand: the rightmost
+    column takes the leftmost pixel of the CURRENT row as TR.  Only the
+    in-repo entropy coder is used, not its predictor encoder."""
+    from xtract.ops.webp import _emit_entropy_image, _Writer
+
+    # residuals, [A, R, G, B]
+    res = np.array([[[0, 10, 20, 30], [0, 1, 1, 1], [0, 1, 1, 1]],
+                    [[0, 100, 100, 100], [0, 5, 5, 5], [0, 5, 5, 5]]],
+                   np.uint8)
+    wtr = _Writer()
+    wtr.write(3 - 1, 14)
+    wtr.write(2 - 1, 14)
+    wtr.write(0, 1)  # alpha hint
+    wtr.write(0, 3)  # version
+    wtr.write(1, 1)  # a transform follows
+    wtr.write(0, 2)  # predictor
+    wtr.write(2 - 2, 3)  # 4x4 tiles: one mode for the whole image
+    modes = np.array([[[255, 0, 3, 0]]], np.uint8)  # mode in green
+    _emit_entropy_image(wtr, modes, 0, False, False)
+    wtr.write(0, 1)  # end of transforms
+    _emit_entropy_image(wtr, res, 0, False, True)
+    stream = b"\x2F" + wtr.flush()
+    chunk = b"VP8L" + struct.pack("<I", len(stream)) + stream
+    chunk += b"\x00" * (len(stream) & 1)
+    data = b"RIFF" + struct.pack("<I", len(chunk) + 4) + b"WEBP" + chunk
+
+    # row 0: (0,0) adds ARGB(255,0,0,0), then L; (0,1): T;
+    # (1,1): TR = (0,2) = (12,22,32);
+    # (1,2): TR = (1,0) = (110,120,130), not the row above's (10,20,30)
+    want = np.array([[[10, 20, 30], [11, 21, 31], [12, 22, 32]],
+                     [[110, 120, 130], [17, 27, 37], [115, 125, 135]]],
+                    np.uint8)
+    assert np.array_equal(decode_webp(data), want)
+
+
 def test_roundtrip_transforms_and_combos():
     rng = np.random.default_rng(7)
     px = rng.integers(0, 256, (13, 17, 3), np.uint8)

@@ -27,6 +27,7 @@ Tag names are lower-cased ASCII strings.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 TokenT = tuple
 
@@ -34,18 +35,29 @@ TokenT = tuple
 #: ``m.lastindex`` names the one that matched (None: a literal '<').
 #: A tag is '<', optional '/', name, attr soup (quote-aware so '>'
 #: inside quotes is not a terminator), optional trailing '/', '>'.
-_SCAN_RE = re.compile(
+#: The name is matched atomically (captured in a lookahead, consumed by
+#: backreference): giving name bytes back to the soup cannot change
+#: the outcome, and retrying it would make one failed tag quadratic.
+_OTHER_PAT = (
     rb"([^<]+)"                                     # 1 text
     rb"|(<!--(?:.*?-->|.*))"                        # 2 comment
     rb"|(<![^>]*>?)"                                # 3 declaration
     rb"|(<\?[^>]*>?)"                               # 4 processing instruction
-    rb"|<(/?)([a-zA-Z][a-zA-Z0-9:_-]*)"             # 5 '/', 6 name
+)
+_SCAN_RE = re.compile(
+    _OTHER_PAT
+    + rb"|<(/?)(?=([a-zA-Z][a-zA-Z0-9:_-]*))\6"     # 5 '/', 6 name
     rb"((?:\"[^\"]*\"|'[^']*'|[^>\"'])*?)(/?)>"     # 7 attrs, 8 '/'
     rb"|<",                                         # literal '<'
     re.S,
 )
+#: the same grammar without the tag alternative, for positions where
+#: ``_guarded_match`` shows that no tag can close
+_NO_TAG_RE = re.compile(_OTHER_PAT + rb"|<", re.S)
 _TEXT, _COMMENT, _DECL, _PI, _TAG = 1, 2, 3, 4, 8
 _OTHER_KINDS = {_COMMENT: "comment", _DECL: "decl", _PI: "pi"}
+_TAG_START = re.compile(rb"</?[a-zA-Z]")
+_SOUP_STOP = re.compile(rb"[>\"']")
 
 #: Elements whose content is raw text (no markup parsed inside).
 RAW_TEXT_ELEMENTS = frozenset({"script", "style", "textarea", "title", "xmp", "noscript"})
@@ -85,6 +97,10 @@ def scan(html: bytes, on_text, on_start, on_end, on_other=None, monitor=None) ->
     n = len(html)
     pos = 0
     match = _SCAN_RE.match
+    guarded = False
+    # a raw-text end tag ends in '>': searching past the last one would
+    # only rescan to EOF at every '</script' without a '>'
+    gt_end = html.rfind(b">") + 1
     ticks = 0
     while pos < n:
         if monitor is not None:
@@ -109,7 +125,7 @@ def scan(html: bytes, on_text, on_start, on_end, on_other=None, monitor=None) ->
             else:
                 on_start(tag, attrs_b, bool(selfclose), pos, end)
                 if tag in RAW_TEXT_ELEMENTS and not selfclose:
-                    em = _RAW_END_RES[tag].search(html, end)
+                    em = _RAW_END_RES[tag].search(html, end, gt_end)
                     # unterminated raw element → content to EOF
                     body_end = n if em is None else em.start()
                     if tag in RAW_TEXT_KEPT and body_end > end:
@@ -121,12 +137,47 @@ def scan(html: bytes, on_text, on_start, on_end, on_other=None, monitor=None) ->
                     on_end(tag, body_end, end)
         elif kind is None:
             on_text(pos, end)  # recovery rule: literal '<' is text
+            if not guarded and _TAG_START.match(html, pos):
+                # a tag failed to close: its walk reached EOF or an
+                # unpaired quote, and every later '<' on that walk
+                # would repeat it — decide them all up front instead
+                match = _guarded_match(html)
+                guarded = True
         elif on_other is not None:
             on_other(_OTHER_KINDS[kind], pos, end)
         pos = end
     if monitor is not None:
         monitor.set_progress(90)
         monitor.check()
+
+
+def _guarded_match(html: bytes):
+    """``match(html, pos)`` that skips the tag alternative where no tag
+    can close.  A tag's attr soup walks unquoted bytes, jumps over
+    quoted runs and closes at the first unquoted '>'; it fails at EOF or
+    at a quote with no partner after it.  So whether a tag at ``pos``
+    closes depends only on the first '>', '"' or "'" at or after
+    ``pos``, and one right-to-left pass over those bytes decides it for
+    every position, in place of a walk to EOF per '<'."""
+    stops = [m.start() for m in _SOUP_STOP.finditer(html)]
+    closes = bytearray(len(stops) + 1)  # the last slot stands for EOF
+    next_quote: dict[int, int] = {}
+    for k in range(len(stops) - 1, -1, -1):
+        c = html[stops[k]]
+        if c == 0x3E:  # '>'
+            closes[k] = 1
+        else:
+            j = next_quote.get(c)
+            closes[k] = 0 if j is None else closes[j + 1]
+            next_quote[c] = k
+    tag_match, no_tag_match = _SCAN_RE.match, _NO_TAG_RE.match
+
+    def match(s: bytes, pos: int):
+        if closes[bisect_left(stops, pos)]:
+            return tag_match(s, pos)
+        return no_tag_match(s, pos)
+
+    return match
 
 
 def tokenize(html: bytes) -> list[TokenT]:

@@ -26,6 +26,10 @@ _TRIM = " \t\n\r"
 #: word pieces, numbers, punctuation runs, whitespace collapsed
 _BPEISH = re.compile(r"[A-Za-z]+|[0-9]|[^A-Za-z0-9\s]+")
 
+#: most benchmark n-grams ``decontaminate`` will collect on the driver
+#: and broadcast (~100 B each)
+BENCH_NGRAM_LIMIT = 10_000_000
+
 
 def token_count(text: str) -> int:
     t = text.strip(_TRIM)
@@ -275,15 +279,24 @@ def decontaminate(ds, benchmark_ds, key: str = "doc_id", col: str = "text",
     n-gram hash set is collected once (bounded by benchmark size) and
     broadcast via ``ray.put``; the corpus side is one streaming
     ``map_batches`` membership pass.  Deterministic (blake2b hashes,
-    the shared ``[^a-z]+`` tokenizer)."""
+    the shared ``[^a-z]+`` tokenizer).  The n-gram rows are counted
+    before they are collected: past ``BENCH_NGRAM_LIMIT`` the call
+    fails loudly instead of pulling a corpus-sized "benchmark" into
+    driver memory."""
     import ray
 
-    bench_sets = benchmark_ds.select_columns([bench_col]).map_batches(
+    bench_grams = benchmark_ds.select_columns([bench_col]).map_batches(
         lambda b: pa.table({"g": pa.array(
             [h for t in b[bench_col].to_pylist()
              for h in _word_ngram_hashes(t or "", n)], pa.binary())}),
-        batch_format="pyarrow").take_all()
-    bench = frozenset(r["g"] for r in bench_sets)
+        batch_format="pyarrow").materialize()
+    n_grams = bench_grams.count()
+    if n_grams > BENCH_NGRAM_LIMIT:
+        raise ValueError(
+            f"decontaminate: the benchmark side has {n_grams} {n}-grams, "
+            f"more than BENCH_NGRAM_LIMIT {BENCH_NGRAM_LIMIT}; pass the "
+            "benchmark set (the small side) as benchmark_ds")
+    bench = frozenset(r["g"] for r in bench_grams.take_all())
     ref = ray.put(bench)
 
     def flag(b: pa.Table) -> pa.Table:

@@ -317,7 +317,9 @@ def _inv_predictor(img: np.ndarray, modes: np.ndarray,
                 L = img[y, x - 1]
                 T = img[y - 1, x]
                 TL = img[y - 1, x - 1]
-                TR = img[y - 1, x + 1] if x + 1 < w else img[y - 1, 0]
+                # rightmost column: TR is the leftmost pixel of the
+                # CURRENT row (RFC 9649 §4.1)
+                TR = img[y - 1, x + 1] if x + 1 < w else img[y, 0]
                 pred = _predict(mode, L, T, TL, TR)
             img[y, x] = ((img[y, x].astype(np.int32) + pred)
                          & 0xFF).astype(np.uint8)
@@ -821,7 +823,7 @@ def encode_webp(pixels: np.ndarray, cache_bits: int = 0,
                     pred = orig[y - 1, 0].astype(np.int32)
                 else:
                     TR = orig[y - 1, x + 1] if x + 1 < w \
-                        else orig[y - 1, 0]
+                        else orig[y, 0]
                     pred = _predict(predictor_mode, orig[y, x - 1],
                                     orig[y - 1, x], orig[y - 1, x - 1],
                                     TR)

@@ -10,13 +10,15 @@ Scale notes (100 TB design): the read prunes to the five input columns;
 the size split routes multi-MB documents to a small-batch actor pool so
 one task never holds many huge pages; shards map to input-file groups
 so a restarted job skips finished shards by manifest; nothing
-materializes the full dataset — every sink is write_parquet or a tiny
-aggregated result.
+materializes the full dataset — every sink is a Parquet write or a tiny
+aggregated result.  A job shard is one streaming execution: its write
+tasks (``shard_sink.ShardSink``) also compute the manifest figures —
+rows, checksum partial, bytes, blocks kept/dropped, status histogram —
+so the driver merges a few partials instead of re-reading the output.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -254,22 +256,6 @@ def explode_pages(
 # Resumable sharded job driver (manifest per shard, atomic rename)
 # ---------------------------------------------------------------------------
 
-def _shard_digest_partial(batch: pa.Table) -> pa.Table:
-    """Combiner: per-batch commutative checksum partial (sum of per-row
-    sha256(url||content_text) mod 2^256) — merged later; avoids shipping
-    every digest to the driver."""
-    total = 0
-    urls = batch["url"].to_pylist()
-    texts = batch["content_text"].to_pylist()
-    for u, t in zip(urls, texts):
-        h = hashlib.sha256()
-        h.update(u.encode("utf-8"))
-        h.update(b"\x00")
-        h.update((t or "").encode("utf-8"))
-        total = (total + int.from_bytes(h.digest(), "big")) % (1 << 256)
-    return pa.table({"partial": [f"{total:064x}"], "n": [len(urls)]})
-
-
 def merge_checksum_partials(partials: list[tuple[str, int]]) -> str:
     total = 0
     n = 0
@@ -277,31 +263,6 @@ def merge_checksum_partials(partials: list[tuple[str, int]]) -> str:
         total = (total + int(p, 16)) % (1 << 256)
         n += int(c)
     return f"{n}:{total:064x}"
-
-
-def _shard_metrics(done_ds) -> dict:
-    """Per-shard extraction metrics from the written columns (one tiny
-    aggregate + a status histogram — no extra pass over the source)."""
-    from ray.data.aggregate import Count, Sum
-
-    row = done_ds.aggregate(
-        Sum("html_len", alias_name="html_bytes"),
-        Sum("n_blocks_kept", alias_name="blocks_kept"),
-        Sum("n_blocks_dropped", alias_name="blocks_dropped"),
-    )
-    st = done_ds.groupby("status").aggregate(
-        Count(alias_name="n")).take_all()
-    counts = {r["status"]: int(r["n"]) for r in st}
-    return {
-        "html_bytes": int(row["html_bytes"] or 0),
-        "blocks_kept": int(row["blocks_kept"] or 0),
-        "blocks_dropped": int(row["blocks_dropped"] or 0),
-        "status_counts": counts,
-        "parse_failures": sum(v for k, v in counts.items()
-                              if k in ("parse_error", "bad_encoding",
-                                       "unsupported_binary", "invalid",
-                                       "timeout")),
-    }
 
 
 def read_extracted(out_dir: str, columns: Optional[Sequence[str]] = None):
@@ -371,13 +332,23 @@ def run_extraction_job(
     write_sidecar: bool = False,
     **extract_kw,
 ):
-    """Resumable extraction job: input parquet files grouped into shards;
-    each shard streams read→extract→write into ``out/shard=<id>/`` with
-    an atomically-renamed data dir + manifest (lineage: input files,
-    row count, corpus checksum partial, config hash, engine version —
-    the renderer-metadata analogue S8).  A rerun skips shards whose
-    manifest says complete.  Returns the list of shard manifests.
+    """Resumable extraction job: input parquet files grouped into shards
+    of ``shard_size`` files; each shard is ONE streaming Ray execution,
+    read → validate → extract → write, into ``out/shard=<id>/data/``.
+
+    The write tasks (``shard_sink.ShardSink``) compute the manifest
+    figures from the rows they already hold: the checksum partial, row
+    count, html bytes, blocks kept/dropped and the status histogram.
+    The driver merges those few partials, so a shard never re-reads its
+    own output and never shuffles (only ``write_sidecar`` re-reads, to
+    write its JSON).  The data dir and ``manifest.json`` (lineage: input
+    files, rows, checksum, metrics, config hash, engine version — the
+    renderer-metadata analogue S8) appear by one atomic rename.  A rerun
+    skips shards whose manifest says complete.  Returns the list of
+    shard manifests.
     """
+    from .shard_sink import ShardSink, merge_shard_partials
+
     os.makedirs(out_dir, exist_ok=True)
     _sweep_orphan_tmp(out_dir)
     retry_failed = extract_kw.pop("retry_failed", False)
@@ -394,34 +365,15 @@ def run_extraction_job(
         shard_dir = os.path.join(out_dir, f"shard={sid}")
         tmp_dir = tempfile.mkdtemp(prefix=f".shard-{sid}-", dir=out_dir)
         t0 = time.monotonic()
-        ds = read_pages(files)
-        ex = extract_pages(ds, cfg, **extract_kw)
-        ex.write_parquet(os.path.join(tmp_dir, "data"))
+        sink = ShardSink(os.path.join(tmp_dir, "data"))
+        extract_pages(read_pages(files), cfg, **extract_kw).write_datasink(sink)
         if write_blocks:
             explode_pages(read_pages(files), cfg).write_parquet(
                 os.path.join(tmp_dir, "blocks"))
-        # lineage metrics from the written data (column-pruned re-read)
-        import ray.data as rd
-
         if write_sidecar:
-            # S7 sidecar sink (text+spans JSON next to the data, the
-            # searchable-PDF text/pdf renderer-pair analogue,
-            # src/result_renderer.rs:69-82) — slim column re-read, one
-            # JSON file per output block
-            rd.read_parquet(
-                os.path.join(tmp_dir, "data"),
-                columns=["url", "content_text", "content_spans"],
-            ).write_json(os.path.join(tmp_dir, "sidecar"))
-
-        done = rd.read_parquet(
-            os.path.join(tmp_dir, "data"),
-            columns=["url", "content_text", "status", "html_len",
-                     "n_blocks_kept", "n_blocks_dropped"])
-        parts = done.map_batches(_shard_digest_partial,
-                                 batch_format="pyarrow").take_all()
-        checksum = merge_checksum_partials([(r["partial"], r["n"]) for r in parts])
-        n_rows = sum(int(r["n"]) for r in parts)
-        metrics = _shard_metrics(done)
+            _write_sidecar(tmp_dir)
+        shard = merge_shard_partials(sink.partials)
+        n_rows, metrics = shard["n_rows"], shard["metrics"]
         wall = round(time.monotonic() - t0, 3)
         metrics["docs_per_s"] = round(n_rows / wall, 1) if wall else None
         metrics["html_bytes_per_s"] = (
@@ -430,7 +382,7 @@ def run_extraction_job(
             "shard_id": sid,
             "input_files": files,
             "n_rows": n_rows,
-            "checksum": checksum,
+            "checksum": shard["checksum"],
             # north-rule extraction metrics: blocks kept/dropped, parse
             # failures, bytes and rates — per shard, in the lineage
             "metrics": metrics,
@@ -467,9 +419,9 @@ def _run_retry_shard(input_files, out_dir: str, cfg: ExtractionConfig,
     Consumers read the retry shard's rows as replacements for the same
     urls in the base shards (latest-status-wins by shard name)."""
     import ray
-    import ray.data as rd
 
     from .actors import Extractor
+    from .shard_sink import ShardSink, merge_shard_partials
 
     sid = "retry"
     if shard_is_done(out_dir, sid):
@@ -499,17 +451,14 @@ def _run_retry_shard(input_files, out_dir: str, cfg: ExtractionConfig,
         keep_failed, batch_format="pyarrow").map_batches(
         Extractor, fn_constructor_args=((retry_cfg or cfg).to_json(), True),
         batch_format="pyarrow", batch_size=16, concurrency=(1, 4), num_cpus=1)
-    lenient.write_parquet(os.path.join(tmp_dir, "data"))
+    sink = ShardSink(os.path.join(tmp_dir, "data"))
+    lenient.write_datasink(sink)
     if write_sidecar:
-        rd.read_parquet(glob_data(tmp_dir),
-                        columns=["url", "content_text", "content_spans"]
-                        ).write_json(os.path.join(tmp_dir, "sidecar"))
-    done = rd.read_parquet(glob_data(tmp_dir), columns=["url", "content_text"])
-    parts = done.map_batches(_shard_digest_partial, batch_format="pyarrow").take_all()
+        _write_sidecar(tmp_dir)
+    shard = merge_shard_partials(sink.partials)
     manifest = {
         "shard_id": sid, "input_files": list(input_files),
-        "n_rows": sum(int(r["n"]) for r in parts),
-        "checksum": merge_checksum_partials([(r["partial"], r["n"]) for r in parts]),
+        "n_rows": shard["n_rows"], "checksum": shard["checksum"],
         "config_hash": (retry_cfg or cfg).config_hash(), "lenient": True,
         "engine_version": __version__,
         "wall_s": round(time.monotonic() - t0, 3), "complete": True,
@@ -525,7 +474,17 @@ def _run_retry_shard(input_files, out_dir: str, cfg: ExtractionConfig,
     return manifest
 
 
-def glob_data(shard_tmp_dir: str) -> list:
-    import glob as _glob
+def _write_sidecar(shard_tmp_dir: str) -> None:
+    """S7 sidecar sink (text+spans JSON next to the data, the
+    searchable-PDF text/pdf renderer-pair analogue,
+    src/result_renderer.rs:69-82): a slim column re-read of the written
+    data, one JSON file per output block."""
+    import glob
 
-    return sorted(_glob.glob(os.path.join(shard_tmp_dir, "data", "*.parquet")))
+    import ray.data as rd
+
+    files = sorted(glob.glob(os.path.join(shard_tmp_dir, "data", "*.parquet")))
+    if not files:  # a shard of 0 rows: its write tasks wrote no file
+        return
+    rd.read_parquet(files, columns=["url", "content_text", "content_spans"]
+                    ).write_json(os.path.join(shard_tmp_dir, "sidecar"))
